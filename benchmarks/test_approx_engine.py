@@ -4,8 +4,8 @@ The workload approximation exists for: the all-points RkNN batch over a
 moderately sized, genuinely high-dimensional dataset (n=8000, d=16,
 k=10), answered once exactly (``RDT.query_batch``, the repository's
 batched exact engine) and then through the approximate strategies at a
-sweep of their knobs (``sample_size`` for the sampled estimator,
-``n_tables`` for the LSH filter, ``ef`` for the navigable graph).
+sweep of their knobs (``sample_size`` for the sampled estimator, ``ef``
+for the navigable graph).
 Quality is scored against the brute-force oracle; time is the
 end-to-end wall clock of each batched call
 (:func:`repro.evaluation.run_approx_tradeoff`).
@@ -17,11 +17,12 @@ the note at ``MIN_SPEEDUP``).
 
 A second, ``highdim``-marked leg runs the regime the graph strategy was
 built for — d in {64, 128}, where tree pruning collapses and the exact
-engine degrades to a brute scan per query.  All three strategies answer
-the same self-join and the gate asserts the graph strategy holds
+engine degrades to a brute scan per query.  Both strategies answer the
+same self-join and the gate asserts the graph strategy holds
 recall >= 0.9 at >= 3x the query speed of the best non-graph strategy
-at d=64.  The exact baseline at high d is timed on a query subset and
-extrapolated linearly (recorded as such in the payload).
+(the sampled estimator) at d=64.  The exact baseline at high d is timed
+on a query subset and extrapolated linearly (recorded as such in the
+payload).
 
 Results are recorded to ``benchmarks/results/approx_engine*.{txt,json}``
 and merged into the repo-root trajectory file ``BENCH_approx.json``
@@ -63,7 +64,6 @@ T_EXACT_ENGINE = 4.0
 #: Strategy sweeps: (strategy, knob name, knob values, constructor kwargs).
 SWEEPS = [
     ("sampled", "sample_size", (512, 1024, 2048), {"seed": 1}),
-    ("lsh", "n_tables", (4, 8), {"seed": 1}),
     ("graph", "ef", (32, 64), {"seed": 1, "graph_m": 16}),
 ]
 
@@ -107,7 +107,7 @@ def test_approx_tradeoff_recorded(workload):
             engine = ApproxRkNN(
                 index, strategy, **{knob: int(value)}, **kwargs
             )
-            # Structure builds (hash tables / sampled kNN tables) are
+            # Structure builds (graph adjacency / sampled kNN tables) are
             # one-time preprocessing, timed separately from the query gate.
             started = time.perf_counter()
             engine.strategy.ensure_current()
@@ -229,7 +229,6 @@ HIGH_MIN_SPEEDUP_VS_BEST = 3.0
 HIGH_SETTINGS = {
     "graph": {"ef": 64, "graph_m": 16, "seed": 1},
     "sampled": {"sample_size": 1024, "seed": 1},
-    "lsh": {"n_tables": 8, "seed": 1},
 }
 
 

@@ -7,8 +7,7 @@ at n=1e5 and n=1e6 (kd-tree + rdt+).  Throughput is recorded as
 queries/second plus the extrapolated full ``query_all`` wall time
 (``n / qps``); the sweep uses a fixed m-query block per size so it stays
 tractable on a shared 1-core runner.  Every parallel answer is asserted
-bit-identical to the in-process Service, and a sharded leg asserts
-``ShardedService.query_all`` ids bit-match the single-process Service.
+bit-identical to the in-process Service.
 
 Gate (same warn/hard-floor idiom as ``test_kernels.py``): best-of-3
 speedup at 4 workers vs 1 on the n=1e5 workload must clear the 1.5x
@@ -33,7 +32,6 @@ from repro import kernels
 from repro.evaluation import write_bench_json
 from repro.parallel import (
     ParallelExecutor,
-    ShardedService,
     resolve_start_method,
     shared_memory_available,
 )
@@ -62,11 +60,6 @@ SIZES = (
 #: machine can actually show a speedup, i.e. ``os.cpu_count() >= 4``).
 SPEEDUP_TARGET = 2.5
 SPEEDUP_FLOOR = 1.5
-
-#: Sharded bit-match leg: small enough for an exact full ``query_all``
-#: in the exhaustive regime (t=1e30 queries cost ~n^2 work apiece).
-SHARDED_N = 500
-SHARDED_SHARDS = 4
 
 
 def _measure(executor, query_ids, reps):
@@ -136,26 +129,6 @@ def test_parallel_scaling_recorded():
                 gate_speedup = speedup
         del service, points
 
-    # --- sharded answers bit-match the single-process Service ----------
-    sub = rng.normal(size=(SHARDED_N, DIM))
-    spec = QuerySpec(k=K, t=1e30)
-    reference = Service(
-        sub, backend="kd", engine="rdt", defaults=spec
-    ).query_all()
-    with ShardedService(
-        sub, "rdt", shards=SHARDED_SHARDS, workers=2, defaults=spec
-    ) as sharded:
-        _, sharded_results = sharded.query_all_versioned()
-    assert set(reference) == set(sharded_results)
-    for qid in reference:
-        np.testing.assert_array_equal(
-            reference[qid].ids, sharded_results[qid].ids
-        )
-    lines.append(
-        f"sharded query_all (n={SHARDED_N}, shards={SHARDED_SHARDS}, rdt "
-        f"exact): ids bit-match the single-process Service"
-    )
-
     gate_applies = cpu >= 4
     if gate_applies:
         gate_reason = f"applied (cpu_count={cpu})"
@@ -183,8 +156,6 @@ def test_parallel_scaling_recorded():
         "kernel_backend": kernels.active_backend(),
         "rows": rows,
         "parallel_ids_bit_match": True,
-        "sharded_ids_bit_match": True,
-        "sharded": {"n": SHARDED_N, "shards": SHARDED_SHARDS, "engine": "rdt"},
         "gate": {
             "target": SPEEDUP_TARGET,
             "floor": SPEEDUP_FLOOR,

@@ -7,11 +7,10 @@ strategies answer through the same API as `RDT`:
 
 * ``sampled``: never loses a true reverse neighbor (its sampled kNN
   table is a provable upper bound); the knob is the sample size.
-* ``lsh``: never reports a false one (every candidate is verified); the
-  knob is the number of hash tables.
-* ``graph``: never reports a false one either — an HRNN-style navigable
-  kNN graph whose reverse adjacency is the shortlist; the knob is the
-  beam width ``ef``.  Built for high dimensions, where it wins big.
+* ``graph``: never reports a false one (every candidate is verified) —
+  an HRNN-style navigable kNN graph whose reverse adjacency is the
+  shortlist; the knob is the beam width ``ef``.  Built for high
+  dimensions, where it wins big.
 
 The sweep below scores each knob setting against brute-force ground
 truth and reports recall / precision / speedup over the exact engine —
@@ -59,10 +58,6 @@ def main() -> None:
         engine = ApproxRkNN(index, "sampled", sample_size=int(sample_size), seed=1)
         return lambda qis: engine.query_batch(query_indices=qis, k=args.k)
 
-    def lsh_for(n_tables):
-        engine = ApproxRkNN(index, "lsh", n_tables=int(n_tables), seed=1)
-        return lambda qis: engine.query_batch(query_indices=qis, k=args.k)
-
     def graph_for(ef):
         engine = ApproxRkNN(index, "graph", ef=int(ef), graph_m=16, seed=1)
         return lambda qis: engine.query_batch(query_indices=qis, k=args.k)
@@ -78,15 +73,6 @@ def main() -> None:
             query_indices=qis, k=args.k, t=4.0
         ),
     )
-    lsh = run_approx_tradeoff(
-        "lsh",
-        lsh_for,
-        (4, 8),
-        queries,
-        truth,
-        args.k,
-        exact_seconds=sampled.exact_seconds,
-    )
     graph = run_approx_tradeoff(
         "graph",
         graph_for,
@@ -101,7 +87,7 @@ def main() -> None:
         render_approx_tradeoffs(
             f"Approximate RkNN sweep (n={args.n}, d={args.dim}, "
             f"k={args.k}, {len(queries)} queries)",
-            [sampled, lsh, graph],
+            [sampled, graph],
         )
     )
     best = sampled.best_gated(0.95)
@@ -111,8 +97,8 @@ def main() -> None:
     )
     print(
         "note the asymmetry: 'sampled' keeps recall=1 by construction and\n"
-        "spends its error budget on unverified accepts; 'lsh' and 'graph'\n"
-        "keep precision=1 and spend it on candidates they never saw."
+        "spends its error budget on unverified accepts; 'graph' keeps\n"
+        "precision=1 and spends it on candidates it never saw."
     )
 
 

@@ -24,9 +24,7 @@ The top-level namespace re-exports the public API:
 * the multi-core execution layer (:mod:`repro.parallel`): a
   query-parallel :class:`~repro.parallel.ParallelExecutor` over
   shared-memory point matrices (also reachable as
-  ``Service(..., parallel=N)``) and a data-parallel
-  :class:`~repro.parallel.ShardedService` with d_k-bound cross-shard
-  pruning.
+  ``Service(..., parallel=N)``).
 
 Quickstart::
 
@@ -89,7 +87,6 @@ from repro.service import QuerySpec, Service
 from repro.approx import (
     APPROX_STRATEGIES,
     ApproxRkNN,
-    LSHFilter,
     SampledKNNEstimator,
     build_strategy,
 )
@@ -118,7 +115,7 @@ from repro.evaluation import (
     run_tradeoff_batched,
 )
 from repro.serving import QueryCoalescer, ResultCache, run_open_loop
-from repro.parallel import ParallelExecutor, ShardedService
+from repro.parallel import ParallelExecutor
 from repro.mining import (
     hubness_counts,
     hubness_skewness,
@@ -177,7 +174,6 @@ __all__ = [
     # approximate engine
     "ApproxRkNN",
     "APPROX_STRATEGIES",
-    "LSHFilter",
     "SampledKNNEstimator",
     "build_strategy",
     # baselines
@@ -214,7 +210,6 @@ __all__ = [
     "run_open_loop",
     # parallel execution
     "ParallelExecutor",
-    "ShardedService",
     # mining applications
     "rknn_self_join",
     "odin_scores",

@@ -6,11 +6,6 @@ bounded, *measurable* error for speed: :class:`ApproxRkNN` answers the
 same queries as :class:`repro.core.RDT` through an interchangeable
 :class:`~repro.approx.base.ApproxStrategy`:
 
-``"lsh"`` (:class:`~repro.approx.lsh.LSHFilter`)
-    Multi-table random-projection hashing shortlists candidates; all of
-    them are verified exactly.  Precision 1, recall is the knob
-    (``n_tables``).
-
 ``"sampled"`` (:class:`~repro.approx.sampled.SampledKNNEstimator`)
     A subsampled kNN-distance table upper-bounds every member's true
     kNN distance (provably — no recall loss), a calibrated correction
@@ -24,9 +19,11 @@ same queries as :class:`repro.core.RDT` through an interchangeable
     build produced as a by-product), raw points navigate by greedy
     descent plus beam search.  Precision 1, recall is the knob
     (``ef``/``graph_m``) — the strategy built for the d >= 64 regime
-    where tree pruning collapses.
+    where tree pruning collapses.  Verifying every shortlisted candidate
+    is what makes precision exact, the design Arthur & Oudot
+    (arXiv:1011.4955) use for their LSH-filtered reverse kNN.
 
-The evaluation harness measures both against the brute-force oracle with
+The evaluation harness measures each against the brute-force oracle with
 :func:`repro.evaluation.run_approx_tradeoff`; `benchmarks/test_approx_engine.py`
 records the recall/speedup trajectory to ``BENCH_approx.json``.
 """
@@ -34,7 +31,6 @@ records the recall/speedup trajectory to ``BENCH_approx.json``.
 from repro.approx.base import ApproxStrategy, StrategyDecision
 from repro.approx.engine import ApproxRkNN
 from repro.approx.graph import GraphRkNNStrategy
-from repro.approx.lsh import LSHFilter
 from repro.approx.sampled import SampledKNNEstimator
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "ApproxStrategy",
     "StrategyDecision",
     "GraphRkNNStrategy",
-    "LSHFilter",
     "SampledKNNEstimator",
     "APPROX_STRATEGIES",
     "build_strategy",
@@ -50,7 +45,6 @@ __all__ = [
 
 APPROX_STRATEGIES = {
     "graph": GraphRkNNStrategy,
-    "lsh": LSHFilter,
     "sampled": SampledKNNEstimator,
 }
 

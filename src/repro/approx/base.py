@@ -17,15 +17,15 @@ for the whole batch, identical to the exact engine's refinement — and
 merges the accepted ids in unverified.  The split determines the failure
 mode (DESIGN.md "Approximate search"):
 
-* a strategy that never accepts outright (the LSH filter) has perfect
-  precision and pays for it with recall — members it fails to shortlist
-  are lost;
+* a strategy that never accepts outright (the navigable graph) has
+  perfect precision and pays for it with recall — members it fails to
+  shortlist are lost;
 * a strategy that shortlists through a provable upper bound (the sampled
   estimator) has perfect recall and risks precision only on the
   candidates it accepts without verification.
 
-Strategies cache index-derived structure (hash tables, sampled distance
-tables) and rebuild it automatically when the index's
+Strategies cache index-derived structure (graph adjacency, sampled
+distance tables) and rebuild it automatically when the index's
 :attr:`~repro.indexes.base.Index.version` moves past the version the
 cache was built at, so dynamic insert/remove workloads stay correct
 without manual invalidation.
@@ -72,7 +72,7 @@ class StrategyDecision:
 class ApproxStrategy:
     """Base class for approximate candidate-generation strategies."""
 
-    #: Registry identifier, e.g. ``"lsh"`` / ``"sampled"``.
+    #: Registry identifier, e.g. ``"sampled"`` / ``"graph"``.
     name: str = "abstract"
 
     def __init__(self, index: Index) -> None:

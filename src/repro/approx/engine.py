@@ -56,12 +56,12 @@ class ApproxRkNN(EngineBase):
     index:
         Any :class:`repro.indexes.Index` over the member set.
     strategy:
-        A registry name (``"lsh"``, ``"sampled"``, or ``"graph"``, see
+        A registry name (``"sampled"`` or ``"graph"``, see
         :data:`repro.approx.APPROX_STRATEGIES`) or a ready
         :class:`~repro.approx.base.ApproxStrategy` instance.
     strategy_kwargs:
         Forwarded to the strategy constructor when ``strategy`` is a
-        name (e.g. ``sample_size=1024``, ``n_tables=16``, ``ef=64``).
+        name (e.g. ``sample_size=1024``, ``ef=64``).
     """
 
     supports_batch = True
@@ -87,12 +87,11 @@ class ApproxRkNN(EngineBase):
         # Protocol identity: the registry names the strategies apart, and
         # each strategy determines which side of the answer is guaranteed
         # (DESIGN.md "Approximate search"): the sampled estimator's
-        # upper-bound shortlist never loses a member, the LSH filter's
+        # upper-bound shortlist never loses a member, the graph's
         # verify-everything design never reports a false one.
         self.engine_name = f"approx-{self.strategy.name}"
         self.guarantee = {
             "sampled": "recall",
-            "lsh": "precision",
             "graph": "precision",
         }.get(self.strategy.name, "heuristic")
 

@@ -32,8 +32,9 @@ protocol (:mod:`repro.approx.base`):
 
 Every shortlisted candidate is handed to the engine as *pending* and
 decided by the exact ``d(q, x) <= d_k(x)`` test (the shared deduplicated
-verification pass), so — like the LSH filter — the strategy has
-**precision exactly 1** and pays only in recall.
+verification pass), so — like the LSH filter of Arthur & Oudot
+(arXiv:1011.4955) — the strategy has **precision exactly 1** and pays
+only in recall.
 
 Determinism: level assignment draws from ``default_rng([seed, n])`` and
 everything else is derived arithmetic, so same data + same seed = same

@@ -150,21 +150,6 @@ class SampledKNNEstimator(ApproxStrategy):
         self._tables[k] = (upper, accept)
         return self._tables[k]
 
-    def kth_upper_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The per-member sampled d_k upper bounds: ``(active_ids, u_k)``.
-
-        ``u_k[i]`` is the provable upper bound on the true ``d_k`` of
-        member ``active_ids[i]`` (sample ⊂ ``S \\ {x}``, so its k-th NN
-        distance can only be larger; ``inf`` where the sample has fewer
-        than ``k`` eligible points).  This is the public face of the
-        per-k tables for consumers beyond the approx engine — the
-        sharded tier derives its cross-shard pruning radii and its
-        d_k-balanced partitioning from it.
-        """
-        self.ensure_current()
-        upper, _ = self._table(check_positive_int(int(k), name="k"))
-        return self._active, upper
-
     # ------------------------------------------------------------------
     # Strategy interface
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ evaluation runner, the mining joins, the conformance oracle, the
 checks:
 
 ``engine_name``
-    The registry identifier (``"rdt+"``, ``"approx-lsh"``, ...).
+    The registry identifier (``"rdt+"``, ``"approx-graph"``, ...).
 ``supports_batch``
     Whether ``query_batch`` is natively vectorized (as opposed to the
     looped default).

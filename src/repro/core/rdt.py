@@ -143,17 +143,6 @@ class RDT(EngineBase):
     query_knobs = ("t",)
     batch_knobs = ("filter_mode",)
 
-    #: Blocked, row-parallel selection and omega recursion in the batched
-    #: filter (``False`` restores the historical one-query-at-a-time loop;
-    #: results are identical either way — the kernel benchmarks flip this
-    #: to measure the baseline).
-    vectorized_filter = True
-    #: Seed the refinement's batched kNN with triangle-inequality caps on
-    #: each candidate's k-th NN distance, so the tree descent prunes from
-    #: the first node instead of warming up its radii from ``inf``.  Pure
-    #: pruning: the returned distances are identical with or without it.
-    use_refine_caps = True
-
     def __init__(
         self,
         index: Index,
@@ -389,10 +378,10 @@ class RDT(EngineBase):
         closed form (see the module docstring for why the sequential
         recursion collapses when every retrieved point is stored).
 
-        With :attr:`vectorized_filter` the selection, sort, and omega
-        recursion run row-parallel over blocks of queries; rows whose
-        selection straddles a tie group at the rank cap fall back to the
-        per-row closed form, which handles straddling exactly.
+        The selection, sort, and omega recursion run row-parallel over
+        blocks of queries; rows whose selection straddles a tie group at
+        the rank cap fall back to the per-row closed form, which handles
+        straddling exactly.
         """
         index = self.index
         metric = index.metric
@@ -405,15 +394,13 @@ class RDT(EngineBase):
         inv_t = 1.0 / probe.t
         m = query_points.shape[0]
 
-        if not self.vectorized_filter or n == 0:
-            stores: list[CandidateStore] = []
-            for row in range(m):
-                stats = stats_list[row]
-                started = time.perf_counter()
-                calls_before = metric.num_calls
-                dists = metric.to_point(points, query_points[row])
-                store = self._filter_one_from_distances(
-                    dists,
+        if n == 0:
+            # Empty active set: nothing to select; the closed form marks
+            # every query's search exhausted.
+            empty = np.empty(0)
+            return [
+                self._filter_one_from_distances(
+                    empty,
                     active,
                     int(exclude[row]),
                     k,
@@ -422,10 +409,8 @@ class RDT(EngineBase):
                     inv_t,
                     stats,
                 )
-                stats.num_distance_calls = metric.num_calls - calls_before
-                stats.filter_seconds = time.perf_counter() - started
-                stores.append(store)
-            return stores
+                for row, stats in enumerate(stats_list)
+            ]
 
         out: list[CandidateStore | None] = [None] * m
         m_scale = (
@@ -951,22 +936,6 @@ class RDT(EngineBase):
         return counts, dk
 
     @staticmethod
-    def _witness_bound_scale(points: np.ndarray) -> float:
-        """Kernel-error scale valid for any candidate subset of ``points``.
-
-        :meth:`_count_witnesses` screens entries near the decision boundary
-        against an error bound proportional to the largest centered squared
-        norm of the candidate set.  A subset's own centered norms can
-        exceed the full set's by at most 2x (the subset mean is a convex
-        combination of full-set points), so 4x the full-set scale is
-        conservative for every per-query candidate set and can be computed
-        once per batch instead of once per query.
-        """
-        eps = float(np.finfo(points.dtype).eps)
-        max_norm_sq = RDT._max_centered_norm_sq(points)
-        return 4.0 * 1000.0 * points.shape[1] * eps * max_norm_sq
-
-    @staticmethod
     def _max_centered_norm_sq(points: np.ndarray) -> float:
         """Largest squared norm of ``points`` centered on their mean."""
         if points.shape[0] == 0:
@@ -1068,45 +1037,40 @@ class RDT(EngineBase):
             )
             started = time.perf_counter()
             calls_before = metric.num_calls
-            occ_caps = None
-            if self.use_refine_caps:
-                # Per-occurrence upper bounds on each candidate's k-th NN
-                # distance.  Triangle bound: the k + 1 filter candidates
-                # closest to q all sit within spill = (k+1)-th smallest
-                # d(q, .) of q, so at least k points other than x lie
-                # within d(q, x) + spill of x.  The filter's dk_caps
-                # (k-th NN among the candidate set itself) are usually far
-                # tighter.  Inflated so kernel round-off can never make a
-                # cap exclusive of a true k-th neighbor.
-                occ_caps = np.full(total_rows, np.inf)
-                offset = 0
-                for store, slots in zip(stores, slots_list):
-                    count = int(slots.shape[0])
-                    if count:
-                        bound = np.full(count, np.inf)
-                        if store.size > k:
-                            spill = float(
-                                np.partition(store.query_dists, k)[k]
-                            )
-                            bound = (
-                                store.query_dists[slots].astype(np.float64)
-                                + spill
-                            )
-                        if store.dk_caps is not None:
-                            bound = np.minimum(bound, store.dk_caps[slots])
-                        occ_caps[offset : offset + count] = bound
-                    offset += count
-                occ_caps = inflate(occ_caps, dtype=rows.dtype)
+            # Per-occurrence upper bounds on each candidate's k-th NN
+            # distance, seeding the batched kNN so the tree descent prunes
+            # from the first node instead of warming up its radii from
+            # ``inf``.  Triangle bound: the k + 1 filter candidates
+            # closest to q all sit within spill = (k+1)-th smallest
+            # d(q, .) of q, so at least k points other than x lie within
+            # d(q, x) + spill of x.  The filter's dk_caps (k-th NN among
+            # the candidate set itself) are usually far tighter.  Inflated
+            # so kernel round-off can never make a cap exclusive of a true
+            # k-th neighbor.
+            occ_caps = np.full(total_rows, np.inf)
+            offset = 0
+            for store, slots in zip(stores, slots_list):
+                count = int(slots.shape[0])
+                if count:
+                    bound = np.full(count, np.inf)
+                    if store.size > k:
+                        spill = float(np.partition(store.query_dists, k)[k])
+                        bound = (
+                            store.query_dists[slots].astype(np.float64)
+                            + spill
+                        )
+                    if store.dk_caps is not None:
+                        bound = np.minimum(bound, store.dk_caps[slots])
+                    occ_caps[offset : offset + count] = bound
+                offset += count
+            occ_caps = inflate(occ_caps, dtype=rows.dtype)
             hits = np.zeros(total_rows, dtype=bool)
-            if occ_caps is None:
-                alive = np.ones(total_rows, dtype=bool)
-            else:
-                # Cap pre-reject: the final test is a tolerant
-                # d(q, x) <= kth(x), and the computed kth can never exceed
-                # the inflated cap — so a candidate already failing the
-                # test against its cap fails it against kth too, and never
-                # needs the search.
-                alive = dist_le_many(query_dists, occ_caps)
+            # Cap pre-reject: the final test is a tolerant
+            # d(q, x) <= kth(x), and the computed kth can never exceed the
+            # inflated cap — so a candidate already failing the test
+            # against its cap fails it against kth too, and never needs
+            # the search.
+            alive = dist_le_many(query_dists, occ_caps)
             if np.any(alive):
                 a_idx = np.flatnonzero(alive)
                 # Candidates are always member points verified against
@@ -1116,10 +1080,8 @@ class RDT(EngineBase):
                 unique_ids, first_rows, inverse = np.unique(
                     exclude[a_idx], return_index=True, return_inverse=True
                 )
-                caps = None
-                if occ_caps is not None:
-                    caps = np.full(unique_ids.shape[0], np.inf)
-                    np.minimum.at(caps, inverse, occ_caps[a_idx])
+                caps = np.full(unique_ids.shape[0], np.inf)
+                np.minimum.at(caps, inverse, occ_caps[a_idx])
                 kth_unique = self.index.knn_distances(
                     rows[a_idx][first_rows],
                     k,

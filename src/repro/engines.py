@@ -214,11 +214,6 @@ ENGINE_REGISTRY: dict[str, EngineSpec] = {
             _make_approx("sampled"),
         ),
         EngineSpec(
-            "approx-lsh", ApproxRkNN, "index",
-            "multi-table LSH filter, every candidate verified (precision 1)",
-            _make_approx("lsh"),
-        ),
-        EngineSpec(
             "approx-graph", ApproxRkNN, "index",
             "HRNN-style navigable graph shortlist, verified (precision 1)",
             _make_approx("graph"),
@@ -284,9 +279,8 @@ def create_engine(
     ----------
     name:
         A registry name: ``"rdt"``, ``"rdt+"``, ``"adaptive"``,
-        ``"bichromatic"``, ``"approx-sampled"``, ``"approx-lsh"``,
-        ``"approx-graph"``, ``"naive"``, ``"sft"``, ``"mrknncop"``,
-        ``"rdnn"``, ``"tpl"``.
+        ``"bichromatic"``, ``"approx-sampled"``, ``"approx-graph"``,
+        ``"naive"``, ``"sft"``, ``"mrknncop"``, ``"rdnn"``, ``"tpl"``.
     data:
         The member points — an ``(n, dim)`` array or a prebuilt
         :class:`~repro.indexes.Index` (for the bichromatic engine these
@@ -309,8 +303,8 @@ def create_engine(
         instead of the bare engine.  Index-family engines only.
     kwargs:
         Engine-specific knobs: ``k`` (``naive``/``rdnn``), ``k_max``
-        (``mrknncop``), ``sample_size``/``margin``/``n_tables``/
-        ``ef``/``graph_m``/``seed`` (approx strategies), ``trim_size``
+        (``mrknncop``), ``sample_size``/``margin``/``ef``/``graph_m``/
+        ``seed`` (approx strategies), ``trim_size``
         (TPL), ``clients`` (the bichromatic engine's second color), ...
 
     Returns an object implementing :class:`repro.RkNNEngine`.

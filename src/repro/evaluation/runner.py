@@ -448,7 +448,7 @@ def run_approx_tradeoff(
 
     ``batch_fn_for_parameter(p)`` returns the whole-workload batch
     function for one setting of the strategy knob (``sample_size`` for
-    the sampled estimator, ``n_tables`` for LSH, ...).  The exact
+    the sampled estimator, ``ef`` for the graph, ...).  The exact
     baseline is either timed here (``exact_batch_fn``, e.g. a bound
     ``RDT.query_batch``) or passed in as ``exact_seconds`` so several
     strategies can share one measured baseline.  Ground truth is

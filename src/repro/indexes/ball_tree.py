@@ -22,11 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.indexes.base import Index
-from repro.indexes.batch_tools import (
-    KSmallestKeeper,
-    check_exclude_indices,
-    mask_excluded,
-)
+from repro.indexes.batch_tools import KSmallestKeeper, check_exclude_indices
 from repro.indexes.build_tools import apply_partition, subtree_point_ids
 from repro.indexes.soa import FlatBallLayout, ball_flat_descent, flatten_ball
 from repro.utils.priority_queue import MinPriorityQueue
@@ -58,11 +54,6 @@ class BallTreeIndex(Index):
 
     name = "ball-tree"
     supports_remove = True  # lazy removal
-
-    #: Use the structure-of-arrays iterative descent for batched
-    #: ``knn_distances`` (the recursive object-tree walk remains available
-    #: for comparison benchmarks and as the semantics of record).
-    use_flat_descent = True
 
     def __init__(self, data, metric=None, leaf_size: int = 16) -> None:
         super().__init__(data, metric)
@@ -186,24 +177,18 @@ class BallTreeIndex(Index):
             m, k, dtype=self._points.dtype, caps=prune_caps
         )
         if m and self.size:
-            if self.use_flat_descent:
-                # Leaf lists can only be trusted when every stored id is
-                # live; a frozen snapshot's mask may postdate removals.
-                all_active = bool(self._active.all()) and not self._frozen
-                ball_flat_descent(
-                    self._flat_layout(),
-                    self.metric,
-                    self._points,
-                    None if all_active else self._active,
-                    queries,
-                    exclude,
-                    keeper,
-                )
-            else:
-                rows = np.arange(m, dtype=np.intp)
-                self._batch_visit(
-                    self._root, rows, np.zeros(m), queries, exclude, keeper
-                )
+            # Leaf lists can only be trusted when every stored id is
+            # live; a frozen snapshot's mask may postdate removals.
+            all_active = bool(self._active.all()) and not self._frozen
+            ball_flat_descent(
+                self._flat_layout(),
+                self.metric,
+                self._points,
+                None if all_active else self._active,
+                queries,
+                exclude,
+                keeper,
+            )
         return keeper.result()
 
     def _flat_layout(self) -> FlatBallLayout:
@@ -236,38 +221,6 @@ class BallTreeIndex(Index):
         # Materialize before freezing so every snapshot shares the arrays.
         self._flat_layout()
         return super().snapshot()
-
-    def _batch_visit(
-        self,
-        node: _Node,
-        rows: np.ndarray,
-        bounds: np.ndarray,
-        queries: np.ndarray,
-        exclude: np.ndarray,
-        keeper: KSmallestKeeper,
-    ) -> None:
-        alive = bounds < keeper.kth[rows]
-        rows = rows[alive]
-        if rows.shape[0] == 0:
-            return
-        if node.is_leaf:
-            ids = np.asarray(self._live_list(node.point_ids), dtype=np.intp)
-            if ids.shape[0]:
-                cand = self.metric.pairwise(queries[rows], self._points[ids])
-                mask_excluded(cand, ids, exclude[rows])
-                keeper.update(rows, cand)
-            return
-        centroids = np.stack([node.left.centroid, node.right.centroid])
-        to_centroid = self.metric.pairwise(queries[rows], centroids)
-        left_bounds = np.maximum(0.0, to_centroid[:, 0] - node.left.radius)
-        right_bounds = np.maximum(0.0, to_centroid[:, 1] - node.right.radius)
-        left_votes = np.count_nonzero(to_centroid[:, 0] <= to_centroid[:, 1])
-        if 2 * left_votes >= rows.shape[0]:
-            order = ((node.left, left_bounds), (node.right, right_bounds))
-        else:
-            order = ((node.right, right_bounds), (node.left, left_bounds))
-        for child, child_bounds in order:
-            self._batch_visit(child, rows, child_bounds, queries, exclude, keeper)
 
     def range_count(self, query, radius: float) -> int:
         query = as_query_point(query, dim=self.dim)

@@ -251,7 +251,7 @@ class CoverTreeIndex(Index):
                 cand, np.asarray([self._root.point_id], dtype=np.intp), exclude
             )
             keeper.update(rows, cand)
-            self._batch_visit(
+            self._descend(
                 self._root, rows, d_root, queries, exclude, keeper, sizes
             )
         return keeper.result()
@@ -274,7 +274,7 @@ class CoverTreeIndex(Index):
                 for child in node.children:
                     stack.append((child, False))
 
-    def _batch_visit(
+    def _descend(
         self,
         node: _Node,
         rows: np.ndarray,
@@ -306,7 +306,7 @@ class CoverTreeIndex(Index):
         for col in np.argsort(dists.mean(axis=0)):
             child = node.children[col]
             if child.children:
-                self._batch_visit(
+                self._descend(
                     child, rows, dists[:, col], queries, exclude, keeper, sizes
                 )
 

@@ -47,12 +47,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.indexes.base import Index
-from repro.indexes.batch_tools import (
-    KSmallestKeeper,
-    box_lower_bounds,
-    check_exclude_indices,
-    mask_excluded,
-)
+from repro.indexes.batch_tools import KSmallestKeeper, check_exclude_indices
 from repro.indexes.build_tools import (
     apply_partition,
     partition_median,
@@ -98,11 +93,6 @@ class KDTreeIndex(Index):
     #: Rebuild the tree once the live fraction of ids stored in it drops
     #: below this threshold (see :meth:`remove`).
     compaction_threshold = 0.5
-
-    #: Use the structure-of-arrays iterative descent for batched
-    #: ``knn_distances`` (the recursive object-tree walk remains available
-    #: for comparison benchmarks and as the semantics of record).
-    use_flat_descent = True
 
     def __init__(self, data, metric=None, leaf_size: int = 16) -> None:
         super().__init__(data, metric)
@@ -260,25 +250,15 @@ class KDTreeIndex(Index):
             # shortcut: the shared tree may hold ids inserted after the
             # mask froze, which must read as inactive.
             all_active = bool(self._active.all()) and not self._frozen
-            if self.use_flat_descent:
-                kd_flat_descent(
-                    self._flat_layout(),
-                    self.metric,
-                    self._points,
-                    None if all_active else self._active,
-                    queries,
-                    exclude,
-                    keeper,
-                )
-            else:
-                self._batch_visit(
-                    self._root,
-                    np.arange(m, dtype=np.intp),
-                    queries,
-                    exclude,
-                    keeper,
-                    all_active,
-                )
+            kd_flat_descent(
+                self._flat_layout(),
+                self.metric,
+                self._points,
+                None if all_active else self._active,
+                queries,
+                exclude,
+                keeper,
+            )
         return keeper.result()
 
     def _flat_layout(self) -> FlatKDLayout:
@@ -323,37 +303,6 @@ class KDTreeIndex(Index):
     def snapshot(self) -> "KDTreeIndex":
         self._flat_layout()
         return super().snapshot()
-
-    def _batch_visit(
-        self,
-        node: _Node,
-        rows: np.ndarray,
-        queries: np.ndarray,
-        exclude: np.ndarray,
-        keeper: KSmallestKeeper,
-        all_active: bool,
-    ) -> None:
-        bounds = box_lower_bounds(self.metric, queries[rows], node.lo, node.hi)
-        rows = rows[bounds < keeper.kth[rows]]
-        if rows.shape[0] == 0:
-            return
-        if node.is_leaf:
-            if all_active:
-                ids = np.asarray(node.point_ids, dtype=np.intp)
-            else:
-                ids = np.asarray(self._live_list(node.point_ids), dtype=np.intp)
-            if ids.shape[0]:
-                cand = self.metric.pairwise(queries[rows], self._points[ids])
-                mask_excluded(cand, ids, exclude[rows])
-                keeper.update(rows, cand)
-            return
-        left_votes = np.count_nonzero(queries[rows, node.axis] <= node.split)
-        if 2 * left_votes >= rows.shape[0]:
-            first, second = node.left, node.right
-        else:
-            first, second = node.right, node.left
-        self._batch_visit(first, rows, queries, exclude, keeper, all_active)
-        self._batch_visit(second, rows, queries, exclude, keeper, all_active)
 
     def range_count(self, query, radius: float) -> int:
         """Count points within ``radius`` by pruning whole boxes."""

@@ -370,10 +370,10 @@ class MTreeIndex(Index):
         )
         if m and self.size:
             rows = np.arange(m, dtype=np.intp)
-            self._batch_visit(self._root, rows, np.zeros(m), queries, exclude, keeper)
+            self._descend(self._root, rows, np.zeros(m), queries, exclude, keeper)
         return keeper.result()
 
-    def _batch_visit(
+    def _descend(
         self,
         node: _MNode,
         rows: np.ndarray,
@@ -401,7 +401,7 @@ class MTreeIndex(Index):
         radii = np.asarray([entry.radius for entry in node.entries])
         child_bounds = np.maximum(0.0, dists - radii[None, :])
         for col in np.argsort(child_bounds.mean(axis=0)):
-            self._batch_visit(
+            self._descend(
                 node.entries[col].child,
                 rows,
                 child_bounds[:, col],

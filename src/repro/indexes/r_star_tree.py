@@ -447,10 +447,10 @@ class RStarTreeIndex(Index):
         )
         if m and self.size:
             rows = np.arange(m, dtype=np.intp)
-            self._batch_visit(self._root, rows, queries, exclude, keeper)
+            self._descend(self._root, rows, queries, exclude, keeper)
         return keeper.result()
 
-    def _batch_visit(
+    def _descend(
         self,
         node: _RNode,
         rows: np.ndarray,
@@ -480,7 +480,7 @@ class RStarTreeIndex(Index):
         for col in np.argsort(bounds.mean(axis=0)):
             sub = rows[bounds[:, col] < keeper.kth[rows]]
             if sub.shape[0]:
-                self._batch_visit(
+                self._descend(
                     node.entries[col].child, sub, queries, exclude, keeper
                 )
 

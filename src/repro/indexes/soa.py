@@ -1,13 +1,13 @@
-"""Structure-of-arrays layouts for the tree backends' batched descent.
+"""Structure-of-arrays layouts: the kd and ball trees' batched descent.
 
 The object trees (``_Node`` dataclasses) stay the structure of record for
-construction, incremental search, and the dynamic operations — but batched
-``knn_distances`` descent over Python node objects pays one attribute
-lookup, one ``np.clip`` on tiny arrays, and one recursive call per node,
-which dominates the traversal once the per-node kernels are fast.  This
-module flattens a built tree into contiguous arrays (split dims, split
-values, bounds, child offsets, concatenated leaf ids) so the descent
-iterates an integer cursor over flat arrays instead.
+construction, incremental search, and the dynamic operations; batched
+``knn_distances`` runs only here.  A descent over Python node objects
+would pay one attribute lookup, one ``np.clip`` on tiny arrays, and one
+recursive call per node, which dominates the traversal once the per-node
+kernels are fast.  This module flattens a built tree into contiguous
+arrays (split dims, split values, bounds, child offsets, concatenated
+leaf ids) so the descent iterates an integer cursor over flat arrays.
 
 Layouts are derived data: each tree rebuilds its layout lazily whenever
 its structure changed (:attr:`~repro.indexes.kd_tree.KDTreeIndex.insert`
@@ -16,13 +16,14 @@ and ``snapshot()`` materializes the layout *before* freezing so the
 snapshot shares the arrays zero-copy — a thousand snapshots of a stable
 index hold one copy of the node arrays.
 
-The flat descent replicates the recursive ``_batch_visit`` semantics
-exactly: bounds are computed for both children of an expanded node in one
-stacked kernel (the same values the recursion computes on child entry),
-children are pushed far-side-first so the near side is processed first,
-and every pop re-checks the node's bound against the current pruning
-radii — the same prune decisions in the same order as the recursion,
-without the Python frame per node.
+The descent is a pruned block traversal: bounds are computed for both
+children of an expanded node in one stacked kernel, children are pushed
+far-side-first so the near side (the side most query rows fall on) is
+processed first and pruning radii shrink before the far side is tried,
+and every pop re-checks the node's bound against the current radii.
+Every metric is covered: Euclidean takes inlined kernels and frozen
+per-leaf stats, any other metric the generic ``metric.pairwise`` /
+``boxes_lower_bounds`` / ``to_point_many`` paths.
 """
 
 from __future__ import annotations
@@ -398,8 +399,7 @@ def _leaf_update(
             )
             metric.num_calls += rows.shape[0] * ids.shape[0]
         else:
-            # Same expansion kernel (and therefore same bits) as the
-            # recursive object-tree leaf blocks; for wide row blocks
+            # The dispatched expansion kernel; for wide row blocks
             # against narrow leaves it moves an order of magnitude less
             # memory than the difference kernel.
             cand = metric.pairwise(queries[rows], points[ids])
@@ -439,9 +439,8 @@ def kd_flat_descent(
     """Iterative pruned block traversal over a flat KD layout.
 
     ``active`` is the live mask (``None`` when every stored id is live and
-    the leaf lists can be trusted).  Prune decisions, visit order, and the
-    per-leaf keeper updates match the recursive ``_batch_visit`` node for
-    node; only the per-node Python overhead is gone.
+    the leaf lists can be trusted).  Each leaf feeds one pairwise block
+    into the shared keeper (see the module docstring for the visit order).
     """
     m = queries.shape[0]
     rows0 = np.arange(m, dtype=np.intp)

@@ -218,12 +218,12 @@ class VPTreeIndex(Index):
         )
         if m and self.size:
             rows = np.arange(m, dtype=np.intp)
-            self._batch_visit(
+            self._descend(
                 self._root, rows, np.zeros(m), queries, exclude, keeper
             )
         return keeper.result()
 
-    def _batch_visit(
+    def _descend(
         self,
         node: _Node,
         rows: np.ndarray,
@@ -259,4 +259,4 @@ class VPTreeIndex(Index):
         else:
             order = ((node.outer, outer_bounds), (node.inner, inner_bounds))
         for child, child_bounds in order:
-            self._batch_visit(child, rows, child_bounds, queries, exclude, keeper)
+            self._descend(child, rows, child_bounds, queries, exclude, keeper)

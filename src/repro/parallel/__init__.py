@@ -1,15 +1,9 @@
-"""Multi-core execution: query-parallel fan-out and data-parallel shards.
+"""Multi-core execution: query-parallel fan-out over shared memory.
 
-Two tiers over one shared-memory substrate (DESIGN.md "Parallel
-execution & sharding"):
-
-* :class:`ParallelExecutor` — tier 1, query-parallel: one full engine
-  replica per worker process over the zero-copy shared point matrix,
-  query blocks fanned across the pool.  Bit-identical to the in-process
-  Service per pinned epoch.
-* :class:`ShardedService` — tier 2, data-parallel: disjoint member
-  partitions with per-shard engines, d_k-bound cross-shard pruning, and
-  one exact global verification merge.
+:class:`ParallelExecutor` keeps one full engine replica per worker
+process over the zero-copy shared point matrix and fans query blocks
+across the pool (DESIGN.md "Parallel execution").  Bit-identical to the
+in-process Service per pinned epoch.
 """
 
 from repro.parallel.executor import ParallelExecutor, resolve_start_method
@@ -20,12 +14,9 @@ from repro.parallel.shared import (
     publish_arrays,
     shared_memory_available,
 )
-from repro.parallel.sharded import SHARD_STRATEGIES, ShardedService
 
 __all__ = [
-    "SHARD_STRATEGIES",
     "ParallelExecutor",
-    "ShardedService",
     "SharedArrayPack",
     "SharedAttachment",
     "attach_arrays",

@@ -19,7 +19,7 @@ unlinked immediately (POSIX keeps them valid for workers still mapping
 them, and workers drop old mappings when they first see the new epoch's
 fingerprint).
 
-Start-method policy (DESIGN.md "Parallel execution & sharding"): ``fork``
+Start-method policy (DESIGN.md "Parallel execution"): ``fork``
 by default where the platform offers it — workers inherit the imported
 library for free and the shared segments carry the data either way —
 overridable to ``spawn`` via the ``REPRO_MP_START`` environment variable
@@ -62,91 +62,6 @@ def resolve_start_method(start_method: str | None = None) -> str:
     return start_method
 
 
-class _PoolHost:
-    """Shared pool/publication plumbing for the two parallel tiers.
-
-    Owns the worker pool, the currently published shared-memory packs,
-    and the teardown path (:meth:`close`): the pool is joined first, then
-    every pack is closed and unlinked, so test teardowns can assert
-    ``/dev/shm`` holds no leaked ``repro-*`` blocks.
-    """
-
-    def __init__(self, workers: int, start_method: str | None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if not shared.shared_memory_available():
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable here (no "
-                "usable /dev/shm?); parallel execution needs it"
-            )
-        self.workers = int(workers)
-        self.start_method = resolve_start_method(start_method)
-        self._lock = threading.RLock()
-        self._pool = None
-        self._packs: list = []
-        self._closed = False
-
-    # -- pool ---------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            ctx = multiprocessing.get_context(self.start_method)
-            self._pool = ctx.Pool(
-                self.workers,
-                initializer=init_worker,
-                initargs=(WorkerInit(jit_env=os.environ.get("REPRO_JIT")),),
-            )
-        return self._pool
-
-    def _map(self, tasks: list) -> list:
-        return self._ensure_pool().map(run_task, tasks)
-
-    def probe(self) -> list[dict]:
-        """One kernel-dispatch report per submitted probe task.
-
-        Used by the regression tests asserting workers re-resolved their
-        dispatch tables (satellite: stale tables under fork/spawn).
-        """
-        with self._lock:
-            self._check_open()
-            return self._map([("probe",)] * self.workers)
-
-    # -- publication --------------------------------------------------
-    def _swap_packs(self, packs: list) -> None:
-        """Adopt new packs, retiring (unlinking) the previous publication."""
-        old, self._packs = self._packs, packs
-        for pack in old:
-            pack.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"cannot use a closed {type(self).__name__}")
-
-    # -- teardown -----------------------------------------------------
-    def close(self) -> None:
-        """Tear down the pool and unlink every published segment."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._pool is not None:
-                self._pool.close()
-                self._pool.join()
-                self._pool = None
-            self._swap_packs([])
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - gc-order dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
 def _metric_meta(metric) -> dict:
     """Picklable metric reconstruction meta (the Service.save recipe)."""
     meta = {"name": metric.name}
@@ -160,7 +75,7 @@ def _metric_meta(metric) -> dict:
 _LAYOUT_KINDS = {"kd-tree": "kd", "ball-tree": "ball"}
 
 
-class ParallelExecutor(_PoolHost):
+class ParallelExecutor:
     """Fan a Service's batched queries out to a process pool.
 
     Parameters
@@ -193,11 +108,11 @@ class ParallelExecutor(_PoolHost):
     repins the Service's latest published epoch and republishes the
     shared arrays only when the epoch (or the engine configuration a
     spec implies) actually moved.
-    """
 
-    #: publish the parent tree's SoA flat layout for worker adoption
-    #: (subclasses building shard-local trees turn this off)
-    _publish_layout = True
+    :meth:`close` joins the pool first, then closes and unlinks every
+    published segment, so test teardowns can assert ``/dev/shm`` holds
+    no leaked ``repro-*`` blocks.
+    """
 
     def __init__(
         self,
@@ -246,16 +161,61 @@ class ParallelExecutor(_PoolHost):
                 f"(they answer in index ids); {self.service.engine_name!r} "
                 f"needs {self._entry.needs!r}"
             )
-        super().__init__(
-            workers if workers is not None else (os.cpu_count() or 1),
-            start_method,
-        )
+        if workers is None:
+            workers = os.cpu_count() or 1
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if not shared.shared_memory_available():
+            raise RuntimeError(
+                "multiprocessing.shared_memory is unavailable here (no "
+                "usable /dev/shm?); parallel execution needs it"
+            )
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
+        self.workers = int(workers)
+        self.start_method = resolve_start_method(start_method)
         self.block_size = block_size
+        self._lock = threading.RLock()
+        self._pool = None
+        self._packs: list = []
+        self._closed = False
         self._ctx: BoundContext | None = None
         self._ctx_key = None
         self._active_ids: np.ndarray | None = None
+
+    # -- pool ---------------------------------------------------------
+    def _ensure_pool(self):
+        if self._pool is None:
+            ctx = multiprocessing.get_context(self.start_method)
+            self._pool = ctx.Pool(
+                self.workers,
+                initializer=init_worker,
+                initargs=(WorkerInit(jit_env=os.environ.get("REPRO_JIT")),),
+            )
+        return self._pool
+
+    def _map(self, tasks: list) -> list:
+        return self._ensure_pool().map(run_task, tasks)
+
+    def probe(self) -> list[dict]:
+        """One kernel-dispatch report per submitted probe task.
+
+        Used by the regression tests asserting workers re-resolved their
+        dispatch tables under both fork and spawn.
+        """
+        with self._lock:
+            self._check_open()
+            return self._map([("probe",)] * self.workers)
+
+    def _swap_packs(self, packs: list) -> None:
+        """Adopt new packs, retiring (unlinking) the previous publication."""
+        old, self._packs = self._packs, packs
+        for pack in old:
+            pack.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"cannot use a closed {type(self).__name__}")
 
     # -- epoch publication --------------------------------------------
     def _ensure_context(self, spec: QuerySpec) -> BoundContext:
@@ -277,10 +237,9 @@ class ParallelExecutor(_PoolHost):
         active_ids = snap.active_ids()
         active[active_ids] = True
         arrays = {"points": snap.points, "active": active}
-        self._augment_arrays(arrays, state, spec)
         packs = [shared.publish_arrays(arrays, tag=f"data{state.epoch}")]
         layout_kind = layout_meta = None
-        if self._publish_layout and state.epoch == 0 and bool(active.all()):
+        if state.epoch == 0 and bool(active.all()):
             # A pure bulk-built tree: the worker's deterministic rebuild
             # reproduces it node for node, so the parent's flat layout
             # arrays are directly adoptable (no re-flatten per worker).
@@ -315,9 +274,6 @@ class ParallelExecutor(_PoolHost):
         self._active_ids = active_ids
         return ctx
 
-    def _augment_arrays(self, arrays: dict, state, spec: QuerySpec) -> None:
-        """Hook for subclasses to publish extra arrays with the epoch."""
-
     def _knobs(self, spec: QuerySpec) -> dict:
         # query_knobs/batch_knobs are class attributes, so the engine's
         # *class* resolves the same knob set the Service forwards.
@@ -338,7 +294,7 @@ class ParallelExecutor(_PoolHost):
         return self.service.epoch
 
     def query(self, query=None, *, query_index=None, spec=None, **overrides):
-        """One query (in-process here; sharded in :class:`ShardedService`)."""
+        """One query, answered in-process (see the class docstring)."""
         return self.query_versioned(
             query, query_index=query_index, spec=spec, **overrides
         )[1]
@@ -416,11 +372,32 @@ class ParallelExecutor(_PoolHost):
 
     # -- teardown -----------------------------------------------------
     def close(self) -> None:
-        super().close()
+        """Tear down the pool and unlink every published segment."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._pool is not None:
+                self._pool.close()
+                self._pool.join()
+                self._pool = None
+            self._swap_packs([])
         if self._owns_service:
             self.service.close()
         self._ctx = None
         self._ctx_key = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self):  # pragma: no cover - gc-order dependent
+        try:
+            self.close()
+        except Exception:
+            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,7 @@
 """Zero-copy dataset publication over ``multiprocessing.shared_memory``.
 
-The parallel execution layer (:mod:`repro.parallel.executor`,
-:mod:`repro.parallel.sharded`) fans query work out to worker *processes*.
+The parallel execution layer (:mod:`repro.parallel.executor`) fans
+query work out to worker *processes*.
 Shipping the point matrix to every worker through pickling would copy
 ~100 MB per dispatch at the scales the scaling benchmark runs; instead
 the parent publishes each epoch's arrays **once** into named shared
@@ -10,7 +10,7 @@ memory segments and sends workers only a tiny picklable
 segments and wrap them in numpy views — zero copies, page-cache-shared
 across every worker on the host.
 
-Lifecycle contract (DESIGN.md "Parallel execution & sharding"):
+Lifecycle contract (DESIGN.md "Parallel execution"):
 
 * the **owner** (the process that called :func:`publish_arrays`) is the
   only one that ever ``unlink``\\ s; :meth:`SharedArrayPack.close`

@@ -1,7 +1,7 @@
 """Worker-process side of the parallel execution layer.
 
-A worker is one process in a persistent pool
-(:class:`repro.parallel.executor.WorkerPool`).  Its lifecycle:
+A worker is one process in the persistent pool of a
+:class:`repro.parallel.executor.ParallelExecutor`.  Its lifecycle:
 
 1. **Initializer** (:func:`init_worker`): pin the kernel-dispatch
    environment — the parent's ``REPRO_JIT`` decision is re-applied and
@@ -68,8 +68,7 @@ class BoundContext:
     segments named by ``pack``; this object only carries coordinates.
     """
 
-    #: shared-memory coordinates of the epoch's arrays ("points",
-    #: "active", optional shard assignment "shard_ids"/"shard_offsets")
+    #: shared-memory coordinates of the epoch's arrays ("points", "active")
     pack: PackMeta
     #: the parent epoch the pack was published from (for result stamping)
     epoch: int
@@ -100,8 +99,6 @@ class BoundContext:
 # ----------------------------------------------------------------------
 #: fingerprint -> dict(attachment, index, engine, layout_attachment)
 _STATE: dict = {}
-#: (fingerprint, shard_id) -> dict(index, engine, member_ids)
-_SHARDS: dict = {}
 
 
 def init_worker(config: WorkerInit) -> None:
@@ -121,8 +118,6 @@ def _evict_other_fingerprints(fingerprint: tuple) -> None:
             attachment = state.get(handle)
             if isinstance(attachment, SharedAttachment):
                 attachment.close()
-    for key in [k for k in _SHARDS if k[0] != fingerprint]:
-        _SHARDS.pop(key)
 
 
 def _rebuild_index(ctx: BoundContext, points: np.ndarray, active: np.ndarray):
@@ -183,96 +178,15 @@ def _ensure_state(ctx: BoundContext) -> dict:
     return state
 
 
-def _ensure_shard(ctx: BoundContext, shard_id: int) -> dict:
-    key = (ctx.fingerprint, int(shard_id))
-    shard = _SHARDS.get(key)
-    if shard is not None:
-        return shard
-    _evict_other_fingerprints(ctx.fingerprint)
-    attachment = _STATE.get(ctx.fingerprint, {}).get("attachment")
-    if attachment is None:
-        attachment = attach_arrays(ctx.pack)
-        _STATE.setdefault(ctx.fingerprint, {})["attachment"] = attachment
-    arrays = attachment.arrays
-    offsets = arrays["shard_offsets"]
-    member_ids = arrays["shard_ids"][offsets[shard_id] : offsets[shard_id + 1]]
-    metric_meta = dict(ctx.metric)
-    metric = get_metric(metric_meta.pop("name"), **metric_meta)
-    # Shard indexes are built over the shard's rows only (dense local
-    # ids 0..len-1); ``member_ids`` maps local back to global ids.
-    index = create_index(
-        ctx.backend,
-        arrays["points"][member_ids],
-        metric=metric,
-        **ctx.backend_kwargs,
-    )
-    engine = ENGINE_REGISTRY[ctx.engine].factory(
-        index, metric=None, backend=None, backend_kwargs=None,
-        **ctx.engine_kwargs,
-    )
-    shard = {"index": index, "engine": engine, "member_ids": member_ids}
-    _SHARDS[key] = shard
-    return shard
-
-
 # ----------------------------------------------------------------------
 # Task handlers
 # ----------------------------------------------------------------------
 def _query_block(ctx: BoundContext, kind: str, payload, k: int, knobs: dict):
-    """Tier-1 (query-parallel) block: full results in engine id space."""
-    state = _ensure_state(ctx)
-    engine = state["engine"]
+    """One query block: full results in engine id space."""
+    engine = _ensure_state(ctx)["engine"]
     if kind == "member":
         return engine.query_batch(query_indices=payload, k=k, **knobs)
-    points = state["attachment"].arrays["points"]
-    rows = points[payload] if isinstance(payload, np.ndarray) and payload.ndim == 1 else payload
-    return engine.query_batch(queries=rows, k=k, **knobs)
-
-
-def _shard_block(
-    ctx: BoundContext, shard_id: int, kind: str, payload, k: int, knobs: dict
-):
-    """Tier-2 (data-parallel) block: per-query *candidate* global ids.
-
-    The shard engine answers against shard-local data, whose k-th NN
-    distances can only be larger than the global ones (the shard is a
-    subset of ``S \\ {x}``) — every true reverse neighbor in this shard
-    survives, possibly joined by shard-local false positives.  The
-    parent's single deduplicated global verification pass makes the
-    merged answer exact, so workers return candidate id arrays only.
-    """
-    shard = _ensure_shard(ctx, shard_id)
-    engine = shard["engine"]
-    member_ids = shard["member_ids"]
-    points = _STATE[ctx.fingerprint]["attachment"].arrays["points"]
-    if kind == "member":
-        # ``payload`` holds *global* member ids; the ones living in this
-        # shard are answered with self-exclusion, the rest as raw points.
-        qids = np.asarray(payload, dtype=np.intp)
-        local = np.searchsorted(member_ids, qids)
-        local_in = np.minimum(local, max(member_ids.shape[0] - 1, 0))
-        in_shard = (
-            member_ids[local_in] == qids if member_ids.shape[0] else
-            np.zeros(qids.shape[0], dtype=bool)
-        )
-        out: list = [None] * qids.shape[0]
-        home_rows = np.flatnonzero(in_shard)
-        if home_rows.shape[0]:
-            home = engine.query_batch(
-                query_indices=local_in[home_rows], k=k, **knobs
-            )
-            for row, result in zip(home_rows, home):
-                out[row] = member_ids[result.ids]
-        foreign_rows = np.flatnonzero(~in_shard)
-        if foreign_rows.shape[0]:
-            foreign = engine.query_batch(
-                queries=points[qids[foreign_rows]], k=k, **knobs
-            )
-            for row, result in zip(foreign_rows, foreign):
-                out[row] = member_ids[result.ids]
-        return out
-    results = engine.query_batch(queries=payload, k=k, **knobs)
-    return [member_ids[result.ids] for result in results]
+    return engine.query_batch(queries=payload, k=k, **knobs)
 
 
 def _probe() -> dict:
@@ -292,11 +206,6 @@ def run_task(task: tuple):
     if kind in ("member", "raw"):
         _, ctx, payload, k, knobs = task
         return _query_block(ctx, kind, payload, k, knobs)
-    if kind in ("shard-member", "shard-raw"):
-        _, ctx, shard_id, payload, k, knobs = task
-        return _shard_block(
-            ctx, shard_id, kind.removeprefix("shard-"), payload, k, knobs
-        )
     if kind == "probe":
         return _probe()
     raise ValueError(f"unknown worker task kind {kind!r}")

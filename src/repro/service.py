@@ -21,7 +21,7 @@ The facade owns three responsibilities the call sites used to duplicate:
 and forwards only the knobs the active engine understands
 (:attr:`~repro.core.protocol.EngineBase.query_knobs`); ``t`` reaches RDT
 but not the approximate engines, ``alpha`` reaches SFT, strategy knobs
-(``margin``/``sample_size``/``n_tables``/``ef``/``graph_m``) trigger an
+(``margin``/``sample_size``/``ef``/``graph_m``) trigger an
 engine rebuild.  Unknown knob names fail fast with the valid list.
 
 **Lifecycle** — the backend index is built once (bulk path); engines are
@@ -104,6 +104,13 @@ _GRAPH_PAYLOAD_KEYS = (
     "graph_neighbor_dists",
 )
 
+#: Spec fields and engines that payloads written by older library
+#: versions may still name.  ``load`` drops a retired spec field (every
+#: older payload carries it, usually as ``null``) and refuses a retired
+#: engine with a pointer to its replacement.
+_RETIRED_SPEC_FIELDS = ("n_tables",)
+_RETIRED_ENGINES = {"approx-lsh": "approx-graph"}
+
 #: Storage dtypes the service accepts (the Metric dtype policy).
 _DTYPE_NAMES = ("float32", "float64")
 
@@ -121,14 +128,13 @@ _FILTER_MODES = ("auto", "sequential", "vectorized")
 
 #: QuerySpec fields that configure an approximate *strategy* rather than a
 #: single query; changing one rebuilds the engine.
-_STRATEGY_KNOBS = ("margin", "sample_size", "n_tables", "ef", "graph_m")
+_STRATEGY_KNOBS = ("margin", "sample_size", "ef", "graph_m")
 
 #: Which strategy knobs each engine family's constructor understands —
 #: the construction-time analogue of `query_knobs` (knobs an engine does
 #: not understand are carried by the spec but never forwarded).
 _ENGINE_STRATEGY_KNOBS = {
     "approx-sampled": ("margin", "sample_size"),
-    "approx-lsh": ("n_tables",),
     "approx-graph": ("ef", "graph_m"),
 }
 
@@ -166,8 +172,6 @@ class QuerySpec:
     margin: float | None = None
     #: subsample size of the sampled strategy (rebuilds the engine)
     sample_size: int | None = None
-    #: table count of the LSH strategy (rebuilds the engine)
-    n_tables: int | None = None
     #: beam width of the graph strategy (rebuilds the engine)
     ef: int | None = None
     #: forward-edge degree of the graph strategy (rebuilds the engine)
@@ -190,7 +194,7 @@ class QuerySpec:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.margin is not None and not 0.0 <= self.margin <= 1.0:
             raise ValueError(f"margin must lie in [0, 1], got {self.margin}")
-        for name in ("sample_size", "n_tables", "ef", "graph_m"):
+        for name in ("sample_size", "ef", "graph_m"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(
@@ -937,7 +941,7 @@ class Service:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path, *, extra_meta: dict | None = None) -> pathlib.Path:
+    def save(self, path) -> pathlib.Path:
         """Persist the service to one ``.npz`` payload.
 
         Stores the full point matrix (removed rows included, so ids
@@ -946,11 +950,6 @@ class Service:
         tree itself is *not* serialized — :meth:`load` rebuilds it with
         the deterministic bulk build and replays the removals, which
         round-trips ``query_all`` bit-identically.
-
-        ``extra_meta`` rides along under the header's ``"extra"`` key for
-        wrappers that persist additional configuration (e.g.
-        :meth:`repro.parallel.ShardedService.save`); :meth:`load` ignores
-        it, so every payload stays loadable as a plain Service.
 
         An ``approx-graph`` service additionally stores the strategy's
         base-layer adjacency (format version 3): rebuilding the graph is
@@ -975,8 +974,6 @@ class Service:
             "backend_kwargs": self._backend_kwargs,
             "engine_kwargs": self._engine_kwargs,
         }
-        if extra_meta is not None:
-            meta["extra"] = extra_meta
         graph_arrays: dict[str, np.ndarray] = {}
         if self.engine_name == "approx-graph":
             strategy = self.engine().strategy
@@ -1009,7 +1006,11 @@ class Service:
         """Rebuild a service saved by :meth:`save` (see there).
 
         Replaying removals requires the backend to support ``remove``
-        when the payload contains inactive points.
+        when the payload contains inactive points.  Header keys this
+        build does not know (such as an ``"extra"`` block) are ignored,
+        and payloads from older versions keep loading: a retired spec
+        field is dropped, while a retired engine raises a ``ValueError``
+        naming its replacement.
         """
         path = pathlib.Path(path)
         graph_arrays: dict[str, np.ndarray] = {}
@@ -1042,6 +1043,18 @@ class Service:
                     f"declares dtype {stored!r} but the point matrix is "
                     f"{points.dtype.name!r}"
                 )
+        retired = _RETIRED_ENGINES.get(meta["engine"])
+        if retired is not None:
+            raise ValueError(
+                f"cannot load Service payload {str(path)!r}: engine "
+                f"{meta['engine']!r} has been removed from the library; "
+                f"re-build the service with engine={retired!r}"
+            )
+        defaults = {
+            name: value
+            for name, value in meta["defaults"].items()
+            if name not in _RETIRED_SPEC_FIELDS
+        }
         metric_meta = dict(meta["metric"])
         metric = get_metric(metric_meta.pop("name"), **metric_meta)
         service = cls(
@@ -1049,7 +1062,7 @@ class Service:
             backend=meta["backend"],
             engine=meta["engine"],
             metric=metric,
-            defaults=QuerySpec(**meta["defaults"]),
+            defaults=QuerySpec(**defaults),
             backend_kwargs=meta["backend_kwargs"],
             engine_kwargs=meta["engine_kwargs"],
         )

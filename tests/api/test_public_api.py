@@ -63,7 +63,6 @@ DOCUMENTED_SURFACE = [
     # approximate engine
     "ApproxRkNN",
     "APPROX_STRATEGIES",
-    "LSHFilter",
     "SampledKNNEstimator",
     "build_strategy",
     # baselines
@@ -100,7 +99,6 @@ DOCUMENTED_SURFACE = [
     "run_open_loop",
     # parallel execution
     "ParallelExecutor",
-    "ShardedService",
     # mining applications
     "rknn_self_join",
     "odin_scores",
@@ -114,7 +112,7 @@ DOCUMENTED_SURFACE = [
 #: Names create_engine must resolve (the acceptance floor is 8; the
 #: registry carries all eleven engine families).
 REQUIRED_ENGINE_NAMES = {
-    "rdt", "rdt+", "adaptive", "bichromatic", "approx-sampled", "approx-lsh",
+    "rdt", "rdt+", "adaptive", "bichromatic", "approx-sampled",
     "approx-graph", "naive", "sft", "mrknncop", "rdnn", "tpl",
 }
 

@@ -158,7 +158,7 @@ class TestEngineProtocolDefaults:
             engine.query_all(k=2)
 
     def test_runtime_checkable_protocol(self, points):
-        for name in ("rdt", "naive", "approx-lsh"):
+        for name in ("rdt", "naive", "approx-graph"):
             engine = create_engine(name, points)
             assert isinstance(engine, repro.RkNNEngine)
 

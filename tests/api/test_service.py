@@ -32,7 +32,6 @@ class TestQuerySpec:
             {"alpha": 0.5},
             {"margin": 1.5},
             {"sample_size": 0},
-            {"n_tables": -1},
             {"ef": 0},
             {"graph_m": -2},
         ],
@@ -60,7 +59,7 @@ class TestQuerySpec:
         spec = QuerySpec(k=5, t=4.0, alpha=2.0, filter_mode="sequential")
         rdt = repro.create_engine("rdt", points)
         sft = repro.create_engine("sft", points)
-        approx = repro.create_engine("approx-lsh", points)
+        approx = repro.create_engine("approx-graph", points)
         assert spec.knobs_for(rdt) == {"t": 4.0}
         assert spec.knobs_for(rdt, batch=True) == {
             "t": 4.0, "filter_mode": "sequential"
@@ -69,8 +68,8 @@ class TestQuerySpec:
         assert spec.knobs_for(approx) == {}
 
     def test_strategy_kwargs_subset(self):
-        spec = QuerySpec(margin=0.5, n_tables=6)
-        assert spec.strategy_kwargs() == {"margin": 0.5, "n_tables": 6}
+        spec = QuerySpec(margin=0.5, ef=6)
+        assert spec.strategy_kwargs() == {"margin": 0.5, "ef": 6}
 
 
 class TestConstruction:
@@ -138,18 +137,18 @@ class TestQueryRouting:
     def test_strategy_knobs_never_reach_other_engine_constructors(self, points):
         # QuerySpec's contract: knobs an engine does not understand are
         # carried but never forwarded — margin on rdt must not rebuild
-        # (or crash) the engine, and lsh must not receive sample_size
+        # (or crash) the engine, and graph must not receive sample_size
         svc = Service(points, engine="rdt",
-                      defaults=QuerySpec(k=4, t=1e30, margin=0.5, n_tables=3))
+                      defaults=QuerySpec(k=4, t=1e30, margin=0.5, ef=3))
         baseline = Service(points, engine="rdt", defaults=QuerySpec(k=4, t=1e30))
         assert np.array_equal(
             svc.query(query_index=1).ids, baseline.query(query_index=1).ids
         )
-        lsh = Service(points, engine="approx-lsh",
-                      defaults=QuerySpec(k=4, n_tables=3, sample_size=99))
-        assert lsh.engine().strategy.n_tables == 3
+        graph = Service(points, engine="approx-graph",
+                        defaults=QuerySpec(k=4, ef=3, sample_size=99))
+        assert graph.engine().strategy.ef == 3
         sampled = Service(points, engine="approx-sampled",
-                          defaults=QuerySpec(k=4, sample_size=32, n_tables=99))
+                          defaults=QuerySpec(k=4, sample_size=32, ef=99))
         assert sampled.engine().strategy.sample_size == 32
 
     def test_strategy_knob_change_rebuilds_engine(self, points):
@@ -390,6 +389,73 @@ class TestPersistence:
                      **arrays)
         loaded = Service.load(path)
         after = loaded.query_all()
+        for pid in before:
+            assert np.array_equal(before[pid].ids, after[pid].ids)
+
+
+def _edit_header(path, edit):
+    """Rewrite a saved payload's JSON header in place via ``edit(meta)``."""
+    import json
+
+    with np.load(path, allow_pickle=False) as payload:
+        meta = json.loads(str(payload["meta"][()]))
+        arrays = {k: np.array(payload[k]) for k in payload.files if k != "meta"}
+    edit(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.asarray(json.dumps(meta, sort_keys=True)),
+                 **arrays)
+
+
+class TestOlderPayloads:
+    """Payloads written before the LSH strategy and the sharded tier were
+    removed: every header carried ``defaults.n_tables`` (usually null),
+    and a sharded service wrote its configuration under ``extra``."""
+
+    def _saved(self, points, tmp_path, engine="rdt+"):
+        svc = Service(points, backend="kd", engine=engine,
+                      defaults=QuerySpec(k=5, t=1e30))
+        svc.remove(11)
+        return svc, svc.save(tmp_path / "svc.npz")
+
+    @pytest.mark.parametrize("value", [None, 6])
+    def test_retired_spec_field_is_dropped(self, points, tmp_path, value):
+        svc, path = self._saved(points, tmp_path)
+        _edit_header(path, lambda meta: meta["defaults"].update(n_tables=value))
+        loaded = Service.load(path)
+        assert loaded.defaults == svc.defaults
+        before, after = svc.query_all(), loaded.query_all()
+        assert before.keys() == after.keys()
+        for pid in before:
+            assert np.array_equal(before[pid].ids, after[pid].ids)
+
+    def test_retired_engine_names_its_replacement(self, points, tmp_path):
+        _, path = self._saved(points, tmp_path, engine="approx-graph")
+
+        def to_lsh(meta):
+            meta["engine"] = "approx-lsh"
+            meta["defaults"]["n_tables"] = 8
+            meta.pop("graph")
+
+        _edit_header(path, to_lsh)
+        with pytest.raises(ValueError, match="approx-lsh") as info:
+            Service.load(path)
+        assert str(path) in str(info.value)
+        assert "approx-graph" in str(info.value)
+
+    def test_sharded_payload_loads_as_plain_service(self, points, tmp_path):
+        svc, path = self._saved(points, tmp_path, engine="rdt")
+
+        def add_sharding(meta):
+            meta["defaults"]["n_tables"] = None
+            meta["extra"] = {"sharded": {"shards": 2, "strategy":
+                             "round-robin", "prune": True,
+                             "sample_size": 512}}
+
+        _edit_header(path, add_sharding)
+        loaded = Service.load(path)
+        assert type(loaded) is Service and loaded.engine_name == "rdt"
+        before, after = svc.query_all(), loaded.query_all()
+        assert before.keys() == after.keys()
         for pid in before:
             assert np.array_equal(before[pid].ids, after[pid].ids)
 

@@ -118,7 +118,7 @@ class TestResultShape:
 
 
 class TestUnderfullActiveSet:
-    @pytest.mark.parametrize("name", ["sampled", "lsh"])
+    @pytest.mark.parametrize("name", ["sampled", "graph"])
     def test_query_never_its_own_reverse_neighbor(self, name, small_gaussian):
         """Regression: with fewer than k other active points every kNN
         distance is inf, so every member (tolerantly) contains every

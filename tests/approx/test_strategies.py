@@ -3,10 +3,10 @@
 The deterministic halves of each strategy's contract are asserted exactly
 (they are guarantees, not statistics): the sampled estimator's shortlist
 is a superset of the true result set (its sampled table is a provable
-upper bound), and the LSH filter never emits an unverified id.  The
-statistical halves (recall of LSH, precision of the sampled accept path)
-are exercised on seeded data in the oracle harness (``tests/oracle``) and
-the evaluation benchmark.
+upper bound).  The graph strategy's own contract lives in
+``test_graph.py``.  The statistical halves (recall of the graph,
+precision of the sampled accept path) are exercised on seeded data in the
+oracle harness (``tests/oracle``) and the evaluation benchmark.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from repro.approx import (
     APPROX_STRATEGIES,
     ApproxRkNN,
-    LSHFilter,
+    GraphRkNNStrategy,
     SampledKNNEstimator,
     build_strategy,
 )
@@ -35,7 +35,7 @@ def naive(medium_mixture):
 
 class TestRegistry:
     def test_build_by_name(self, index):
-        assert isinstance(build_strategy("lsh", index), LSHFilter)
+        assert isinstance(build_strategy("graph", index), GraphRkNNStrategy)
         assert isinstance(build_strategy("sampled", index), SampledKNNEstimator)
 
     def test_unknown_name_raises(self, index):
@@ -114,58 +114,6 @@ class TestSampledEstimator:
             assert np.array_equal(x.ids, y.ids)
 
 
-class TestLSHFilter:
-    def test_everything_is_verified(self, index):
-        """LSH never accepts unverified — precision-1 by construction."""
-        engine = ApproxRkNN(index, "lsh", n_tables=4, seed=2)
-        results = engine.query_batch(query_indices=np.arange(50), k=7)
-        for result in results:
-            assert result.stats.num_lazy_accepts == 0
-            assert result.stats.num_verified == result.stats.num_candidates
-
-    def test_results_subset_of_truth(self, index, naive):
-        """Every reported id passes the exact membership test."""
-        engine = ApproxRkNN(index, "lsh", n_tables=4, seed=2)
-        results = engine.query_batch(query_indices=np.arange(0, 800, 11), k=7)
-        for qi, result in zip(range(0, 800, 11), results):
-            truth = set(naive.query_ids(query_index=qi).tolist())
-            assert set(result.ids.tolist()) <= truth
-
-    def test_more_tables_never_lose_candidates(self, index):
-        few = LSHFilter(index, n_tables=2, seed=4)
-        many = LSHFilter(index, n_tables=6, seed=4)
-        queries = index.points[:40]
-        exclude = np.arange(40, dtype=np.intp)
-        d_few = few.decide_batch(queries, exclude, 7)
-        d_many = many.decide_batch(queries, exclude, 7)
-        for a, b in zip(d_few, d_many):
-            # Same seed: the first 2 tables of `many` are `few`'s tables.
-            assert set(a.pending_ids.tolist()) <= set(b.pending_ids.tolist())
-
-    def test_duplicate_data_shares_buckets(self, duplicated_points):
-        """Exact duplicates always collide, so recall on duplicate-heavy
-        data cannot be lost to hashing between duplicates."""
-        index = LinearScanIndex(duplicated_points)
-        strategy = LSHFilter(index, n_tables=1, seed=0)
-        strategy.ensure_current()
-        dup_rows = np.flatnonzero(
-            (duplicated_points == duplicated_points[0]).all(axis=1)
-        )
-        decision = strategy.decide_batch(
-            duplicated_points[:1], np.asarray([-1], dtype=np.intp), 3
-        )[0]
-        assert set(dup_rows.tolist()) <= set(decision.pending_ids.tolist())
-
-    def test_bucket_width_validation(self, index):
-        with pytest.raises(ValueError, match="bucket_width"):
-            LSHFilter(index, bucket_width=0.0)
-
-    def test_explicit_width_used(self, index):
-        strategy = LSHFilter(index, bucket_width=2.5)
-        strategy.ensure_current()
-        assert strategy.width == 2.5
-
-
 class TestCacheInvalidation:
     @pytest.mark.parametrize("name", sorted(APPROX_STRATEGIES))
     def test_rebuild_after_insert_and_remove(self, name, small_gaussian):
@@ -186,7 +134,7 @@ class TestCacheInvalidation:
             query_index=int(np.searchsorted(active, 0))
         )]
         assert 1 not in after.ids
-        # sampled guarantees the full truth; lsh at least never reports
+        # sampled guarantees the full truth; graph at least never reports
         # the removed id and stays a subset of the active set.
         assert set(after.ids.tolist()) <= set(active.tolist())
         if name == "sampled":

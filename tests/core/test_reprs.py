@@ -63,9 +63,9 @@ def test_bichromatic_repr(points):
 
 
 def test_approx_repr(points):
-    engine = repro.ApproxRkNN(repro.LinearScanIndex(points), "lsh", n_tables=2)
+    engine = repro.ApproxRkNN(repro.LinearScanIndex(points), "graph", ef=8)
     text = repr(engine)
-    assert text.startswith("ApproxRkNN(strategy='lsh'") and "n=60" in text
+    assert text.startswith("ApproxRkNN(strategy='graph'") and "n=60" in text
 
 
 def test_baseline_reprs(points):

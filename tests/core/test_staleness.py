@@ -32,7 +32,7 @@ def test_rdt_binds_build_version_and_goes_stale(points):
 
 
 @pytest.mark.parametrize("name", ["rdt", "rdt+", "adaptive", "approx-sampled",
-                                  "approx-lsh", "sft"])
+                                  "approx-graph", "sft"])
 def test_index_engines_from_registry_track_their_index(name, points):
     index = repro.create_index("kd", points)
     engine = repro.create_engine(name, index)

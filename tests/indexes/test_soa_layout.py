@@ -1,11 +1,11 @@
-"""The structure-of-arrays flat layouts and their descent parity.
+"""The structure-of-arrays flat layouts and their batched descent.
 
-The flat int-cursor descent is an optimization of the recursive
-object-tree block traversal: prune decisions, visit order, and per-leaf
-kernel blocks match node for node, so ``knn_distances`` must agree with
-the object walk bit-for-bit — including under exclusions, pruning caps,
-removals (active-mask path), and float32 storage.  Snapshots share the
-frozen arrays zero-copy.
+The flat int-cursor descent is the kd and ball trees' only batched
+``knn_distances`` path, so it is checked against a brute-force reference
+(every pairwise distance in float64, removed and excluded ids masked) —
+on ties, under exclusions, pruning caps, removals (active-mask path), a
+non-Euclidean metric, and float32 storage.  Snapshots share the frozen
+arrays zero-copy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,13 @@ import pytest
 from repro.distances import EuclideanMetric
 from repro.indexes import create_index
 from repro.indexes.soa import FlatBallLayout, FlatKDLayout, flatten_kd
+from repro.utils.tolerance import tolerances_for
 
 BACKENDS = ("kd-tree", "ball-tree")
+
+#: float64 tolerance of the reference comparison (the descent's expansion
+#: kernel and the reference's difference kernel differ by round-off).
+RTOL = ATOL = 1e-12
 
 
 def _make(backend, points, dtype=None):
@@ -25,25 +30,50 @@ def _make(backend, points, dtype=None):
     return create_index(backend, points, metric=metric)
 
 
-def _knn_both_paths(index, queries, k, **kwargs):
-    flat = index.knn_distances(queries, k, **kwargs)
-    index.use_flat_descent = False
-    try:
-        obj = index.knn_distances(queries, k, **kwargs)
-    finally:
-        index.use_flat_descent = True
-    return flat, obj
+def _brute_force_kth(index, queries, k, exclude_indices=None, order=2):
+    """k-th NN distance of each query row over the index's live points."""
+    points = index.points.astype(np.float64)
+    diff = np.asarray(queries, dtype=np.float64)[:, None, :] - points[None]
+    dists = np.linalg.norm(diff, ord=order, axis=2)
+    live = np.zeros(points.shape[0], dtype=bool)
+    live[index.active_ids()] = True
+    dists[:, ~live] = np.inf
+    if exclude_indices is not None:
+        rows = np.arange(dists.shape[0])
+        dists[rows, np.asarray(exclude_indices)] = np.inf
+    return np.sort(dists, axis=1)[:, k - 1]
+
+
+def _assert_matches_reference(index, queries, k, order=2, **kwargs):
+    queries = np.asarray(queries, dtype=index.points.dtype)
+    got = index.knn_distances(queries, k, **kwargs)
+    want = _brute_force_kth(
+        index, queries, k, kwargs.get("exclude_indices"), order=order
+    )
+    if index.points.dtype == np.float32:
+        rtol, atol = tolerances_for(np.float32)
+    else:
+        rtol, atol = RTOL, ATOL
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+    return got
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dtype", [None, np.float32])
-def test_flat_descent_matches_object_walk(backend, dtype, rng):
+def test_flat_descent_matches_brute_force(backend, dtype, rng):
     points = rng.normal(size=(700, 5))
     queries = rng.normal(size=(40, 5))
     index = _make(backend, points, dtype=dtype)
-    flat, obj = _knn_both_paths(index, queries.astype(
-        index.points.dtype), k=4)
-    assert np.array_equal(flat, obj)
+    _assert_matches_reference(index, queries, k=4)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_flat_descent_matches_brute_force_low_dim(backend, rng):
+    # Many queries over dense 2-d data put plenty of subtrees right at a
+    # row's pruning radius: an over-eager prune shows up here first.
+    points = rng.normal(size=(1500, 2))
+    queries = rng.normal(size=(300, 2))
+    _assert_matches_reference(_make(backend, points), queries, k=10)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -52,49 +82,50 @@ def test_flat_descent_matches_on_ties(backend):
     points = np.round(rng.normal(size=(500, 3)), 1)
     queries = np.round(rng.normal(size=(25, 3)), 1)
     index = _make(backend, points)
-    flat, obj = _knn_both_paths(index, queries, k=5)
-    assert np.array_equal(flat, obj)
+    _assert_matches_reference(index, queries, k=5)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_flat_descent_respects_exclusions(backend, rng):
+@pytest.mark.parametrize("dtype", [None, np.float32])
+def test_flat_descent_respects_exclusions(backend, dtype, rng):
     points = rng.normal(size=(400, 4))
     m = 30
     queries = points[:m] + 1e-3
     exclude = np.arange(m)
-    index = _make(backend, points)
-    flat, obj = _knn_both_paths(index, queries, k=3, exclude_indices=exclude)
-    assert np.array_equal(flat, obj)
+    index = _make(backend, points, dtype=dtype)
+    _assert_matches_reference(index, queries, k=3, exclude_indices=exclude)
     # Excluding a point's nearest copy must change its 1-NN distance.
+    queries = queries.astype(index.points.dtype)
     none = index.knn_distances(queries, 1)
     some = index.knn_distances(queries, 1, exclude_indices=exclude)
     assert (some >= none).all() and (some > none).any()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_flat_descent_after_removals_uses_active_mask(backend, rng):
+@pytest.mark.parametrize("dtype", [None, np.float32])
+def test_flat_descent_after_removals_uses_active_mask(backend, dtype, rng):
     points = rng.normal(size=(300, 4))
-    index = _make(backend, points)
+    index = _make(backend, points, dtype=dtype)
     for point_id in (3, 77, 150, 299):
         index.remove(point_id)
     queries = rng.normal(size=(20, 4))
-    flat, obj = _knn_both_paths(index, queries, k=4)
-    assert np.array_equal(flat, obj)
-    # Removed ids never appear: distances match a filtered linear scan.
-    keep = np.ones(300, dtype=bool)
-    keep[[3, 77, 150, 299]] = False
-    lin = create_index("linear-scan", points[keep])
-    np.testing.assert_allclose(flat, lin.knn_distances(queries, 4),
-                               rtol=1e-12, atol=1e-12)
+    _assert_matches_reference(index, queries, k=4)
+    # The same removals seen through a frozen snapshot's mask.
+    _assert_matches_reference(index.snapshot(), queries, k=4)
 
 
-def test_flat_descent_with_prune_caps_matches(rng):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_flat_descent_with_prune_caps_matches(backend, rng):
     points = rng.normal(size=(600, 5))
     queries = rng.normal(size=(30, 5))
-    index = _make("kd-tree", points)
+    index = _make(backend, points)
     caps = np.asarray(index.knn_distances(queries, 3), dtype=float)
-    flat, obj = _knn_both_paths(index, queries, k=3, prune_caps=caps * 1.5)
-    assert np.array_equal(flat, obj)
+    # Caps strictly above the true k-th distance (the refinement inflates
+    # its caps the same way) only prune; they never change the answer.
+    for factor in (1.0 + 1e-9, 1.5):
+        _assert_matches_reference(
+            index, queries, k=3, prune_caps=caps * factor
+        )
 
 
 def test_snapshot_shares_layout_zero_copy(rng):
@@ -117,8 +148,7 @@ def test_insert_invalidates_layout(rng):
     second = index._flat_layout()
     assert second is not first
     queries = rng.normal(size=(8, 3))
-    flat, obj = _knn_both_paths(index, queries, k=2)
-    assert np.array_equal(flat, obj)
+    _assert_matches_reference(index, queries, k=2)
 
 
 def test_layout_invariants(rng):
@@ -174,8 +204,7 @@ def test_leaf_stats_absent_for_non_euclidean():
     lay = index._flat_layout()
     assert lay.leaf_pts is None
     queries = rng.normal(size=(6, 3))
-    flat, obj = _knn_both_paths(index, queries, k=2)
-    assert np.array_equal(flat, obj)
+    _assert_matches_reference(index, queries, k=2, order=1)
 
 
 def test_flatten_without_points_still_descends(rng):
@@ -185,8 +214,7 @@ def test_flatten_without_points_still_descends(rng):
     assert lay.leaf_pts is None and lay.id_slot is not None
     index._layout = lay
     queries = rng.normal(size=(5, 3))
-    flat, obj = _knn_both_paths(index, queries, k=2)
-    assert np.array_equal(flat, obj)
+    _assert_matches_reference(index, queries, k=2)
 
 
 def test_ball_layout_types(rng):

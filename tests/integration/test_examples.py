@@ -112,6 +112,6 @@ def test_approximate_search_runs_tiny():
         "--queries", "120",
     )
     assert "Approximate RkNN sweep" in stdout
-    assert "[sampled, k=5]" in stdout and "[lsh, k=5]" in stdout
+    assert "[sampled, k=5]" in stdout and "[graph, k=5]" in stdout
     assert "speedup" in stdout
     assert "sampled strategy at recall" in stdout

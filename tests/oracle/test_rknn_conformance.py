@@ -24,8 +24,12 @@ regime).
 The same workloads serve as the recall/precision oracle for the
 approximate subsystem (:mod:`repro.approx`): the sampled estimator's
 shortlist bound makes ``recall == 1`` a *deterministic* guarantee, and
-the LSH filter's verify-everything design makes ``precision == 1`` one;
-both are asserted exactly here, per workload.
+the graph strategy's verify-everything design makes ``precision == 1``
+one; both are asserted exactly here, per workload.
+
+They also pin the batched execution strategy against the looped one:
+``query_batch`` must make exactly the decisions a loop of ``query()``
+calls makes, counters included, at float64 and float32.
 """
 
 import numpy as np
@@ -35,6 +39,7 @@ from repro.approx import ApproxRkNN
 from repro.baselines import NaiveRkNN
 from repro.core import RDT, RkNNEngine
 from repro.core.result import RkNNResult
+from repro.distances import EuclideanMetric
 from repro.engines import ENGINE_REGISTRY
 from repro.evaluation.metrics import precision as precision_metric
 from repro.evaluation.metrics import recall as recall_metric
@@ -181,6 +186,60 @@ def test_backend_agrees_with_brute_force(backend, flags, workload_name):
         )
 
 
+#: Scale for the batch-vs-loop comparison: small enough that the omega
+#: bound ends searches early and the lazy witness rules decide most
+#: candidates, so every decision counter is exercised.
+T_DECISIONS = 4.0
+
+
+def _decisions(result):
+    stats = result.stats
+    return (
+        result.ids.tolist(),
+        stats.num_retrieved,
+        stats.num_candidates,
+        stats.terminated_by,
+        stats.num_lazy_accepts,
+        stats.num_lazy_rejects,
+        stats.num_verified,
+        stats.num_verified_hits,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("backend", ["kd-tree", "linear-scan", "ball-tree"])
+@pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
+def test_batched_decisions_match_looped_queries(workload_name, backend, dtype):
+    """The closed-form batched filter and the shared refinement make the
+    looped path's decisions exactly: ids, retrieval and candidate counts,
+    termination reason, lazy accepts/rejects and verifications — for
+    member queries and for raw queries sitting exactly on members.  At
+    float32 the batched witness tensor repairs every entry near its
+    decision boundary back to exact arithmetic; this is what pins it."""
+    data, remove_ids, active, _ = _workload(workload_name)
+    index = build_index(backend, data, metric=EuclideanMetric(dtype=dtype))
+    for point_id in remove_ids:
+        index.remove(int(point_id))
+    rdt = RDT(index)
+
+    batched = rdt.query_batch(query_indices=active, k=K, t=T_DECISIONS)
+    for point_id, result in zip(active, batched):
+        looped = rdt.query(query_index=int(point_id), k=K, t=T_DECISIONS)
+        assert _decisions(result) == _decisions(looped), (
+            f"member query {int(point_id)} on {backend}/{dtype.__name__}, "
+            f"workload {workload_name!r}"
+        )
+
+    raw = index.points[active[::LOOP_STRIDE]]
+    for row, result in enumerate(rdt.query_batch(raw, k=K, t=T_DECISIONS)):
+        looped = rdt.query(raw[row], k=K, t=T_DECISIONS)
+        assert _decisions(result) == _decisions(looped), (
+            f"raw query {row} on {backend}/{dtype.__name__}, "
+            f"workload {workload_name!r}"
+        )
+
+
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_rdt_plus_never_loses_members(workload_name):
     """RDT+ may lose precision (Section 4.3), never recall, in the
@@ -304,19 +363,8 @@ def test_bichromatic_contract_through_service():
 
 
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-def test_lsh_strategy_has_exact_precision(workload_name):
-    """The LSH filter verifies every candidate, so whatever it returns is
-    a true reverse neighbor — on ties, duplicates, and offsets included."""
-    index, active, truth = _build("linear-scan", {}, workload_name)
-    engine = ApproxRkNN(index, "lsh", n_tables=4, seed=7)
-    results = engine.query_all(k=K)
-    for point_id, result in results.items():
-        assert precision_metric(truth[point_id], result.ids) == 1.0
-
-
-@pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_graph_strategy_has_exact_precision(workload_name):
-    """The graph strategy also verifies every shortlisted candidate —
+    """The graph strategy verifies every shortlisted candidate —
     precision is exactly 1 on every workload shape.  For k <= graph_m the
     reverse adjacency is additionally a *complete* shortlist up to
     k-th-distance ties, so on the tie-free workloads recall is 1 too."""
@@ -335,9 +383,9 @@ def test_graph_strategy_has_exact_precision(workload_name):
 # ----------------------------------------------------------------------
 # Cross-process answers go through worker-side index rebuilds over
 # shared-memory arrays; these sweeps pin that no adversarial shape and
-# no worker/shard configuration can change a single id.
+# no worker configuration can change a single id.
 
-from repro.parallel import SHARD_STRATEGIES, ParallelExecutor, ShardedService  # noqa: E402
+from repro.parallel import ParallelExecutor  # noqa: E402
 
 #: The adversarial subset of the workloads the parallel sweeps run
 #: (the full matrix × pool setups would dominate the tier's runtime;
@@ -361,7 +409,7 @@ def _parallel_service(workload_name, engine_name):
 @pytest.mark.parametrize("workers", (1, 2, 4))
 @pytest.mark.parametrize("workload_name", PARALLEL_WORKLOADS)
 def test_parallel_executor_bit_matches_service(workload_name, workers):
-    """Tier 1 (query-parallel): worker answers are the *same engine's*
+    """Query-parallel fan-out: worker answers are the *same engine's*
     answers — fan-out must be invisible, bit for bit."""
     service, active, truth = _parallel_service(workload_name, "rdt+")
     expected = service.query_all()
@@ -375,32 +423,16 @@ def test_parallel_executor_bit_matches_service(workload_name, workers):
         )
 
 
-@pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
 @pytest.mark.parametrize("workload_name", PARALLEL_WORKLOADS)
-def test_sharded_service_matches_brute_force(workload_name, strategy):
-    """Tier 2 (data-parallel): the global verification merge makes the
-    sharded answer exactly the brute-force membership on every shape."""
+def test_parallel_executor_matches_brute_force(workload_name):
+    """Exactness survives the fan-out: the exact-guarantee engine's pooled
+    self-join is the brute-force membership on every adversarial shape,
+    removed members included."""
     service, active, truth = _parallel_service(workload_name, "rdt")
-    with ShardedService(service, shards=3, strategy=strategy) as sharded:
-        _, results = sharded.query_all_versioned()
+    with ParallelExecutor(service, workers=2) as executor:
+        results = executor.query_all()
     assert set(results) == {int(i) for i in active}
     for point_id, result in results.items():
         assert set(result.ids.tolist()) == truth[point_id], (
-            f"workload {workload_name!r}, strategy {strategy!r}, "
-            f"query {point_id}"
-        )
-
-
-@pytest.mark.parametrize("workload_name", PARALLEL_WORKLOADS)
-def test_sharded_service_bit_matches_single_process(workload_name):
-    """The acceptance pin: sharded query_all ids equal the single-process
-    Service's on every oracle workload (exact-guarantee engine, so the
-    single-process answer *is* the brute-force membership)."""
-    service, active, truth = _parallel_service(workload_name, "rdt")
-    expected = service.query_all()
-    with ShardedService(service, shards=2) as sharded:
-        _, results = sharded.query_all_versioned()
-    for point_id, want in expected.items():
-        assert np.array_equal(want.ids, results[point_id].ids), (
             f"workload {workload_name!r}, query {point_id}"
         )

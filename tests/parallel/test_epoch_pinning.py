@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel import ParallelExecutor, ShardedService
+from repro.parallel import ParallelExecutor
 from repro.service import QuerySpec, Service
 
 SPEC = QuerySpec(k=3, t=1e30)
@@ -41,15 +41,18 @@ def test_removed_member_vanishes_from_next_dispatch(dataset):
         assert all(7 not in result.ids for result in after.values())
 
 
-@pytest.mark.parametrize("make", ["executor", "sharded"])
+@pytest.mark.parametrize("make", ["executor", "service-parallel"])
 def test_writer_storm_never_tears_a_dispatch(dataset, make):
     """Concurrent inserts/removes while dispatching: each dispatch's
-    answers must be internally consistent with *some* single epoch."""
-    service = Service(dataset, backend="kd", engine="rdt", defaults=SPEC)
+    answers must be internally consistent with *some* single epoch —
+    through an adopting executor and through ``Service(parallel=...)``."""
     if make == "executor":
+        service = Service(dataset, backend="kd", engine="rdt", defaults=SPEC)
         runner = ParallelExecutor(service, workers=2)
     else:
-        runner = ShardedService(service, shards=2, workers=2)
+        service = runner = Service(
+            dataset, backend="kd", engine="rdt", defaults=SPEC, parallel=2
+        )
     qids = np.arange(0, 100, 9)
     stop = threading.Event()
     errors: list = []
